@@ -9,22 +9,20 @@
 //! hard `ulimit -v` ceiling that the materialized path cannot meet.
 //!
 //! The evaluation pass reads a TMP2 container from disk through
-//! `open_v2_auto`, so it exercises the zero-copy whole-buffer decoder when
-//! the file fits the map budget and the constant-memory streaming reader
-//! when it does not (the 20M-record CI file deliberately overflows the
-//! budget). Records reach the simulators in SoA blocks, one decode shared
-//! by all layouts. Set `TEMPO_STREAM_INGEST=map|stream` to force a path;
-//! the text report is byte-identical either way, which CI asserts.
+//! `V2Source`, which holds one frame at a time whatever the file size.
+//! Records reach the simulators in SoA blocks, one decode shared by all
+//! layouts.
 //!
 //! The text report carries only deterministic results (miss counts per
-//! layout). Peak RSS, throughput, and the ingestion path taken are
-//! machine- or environment-dependent, so they go into `BENCH_run.json`
-//! via [`Ctx::metric`] instead.
+//! layout). Peak RSS and throughput are machine-dependent, so they go
+//! into `BENCH_run.json` via [`Ctx::metric`] instead.
 
+use std::fs::File;
+use std::io::BufReader;
 use std::time::Instant;
 
 use tempo::prelude::*;
-use tempo::trace::open_v2_auto;
+use tempo::trace::v2::V2Source;
 use tempo::workloads::suite;
 
 use crate::checked_place;
@@ -57,8 +55,7 @@ pub(crate) fn run(ctx: &mut Ctx) -> Result<(), ExperimentError> {
     // One shared pass over the TMP2 file evaluates every layout: blocks
     // are decoded once and stepped through all simulators.
     let layout_list: Vec<Layout> = layouts.iter().map(|(_, l)| l.clone()).collect();
-    let source = open_v2_auto(&path, None)?;
-    let mapped = source.is_mapped();
+    let source = V2Source::new(BufReader::new(File::open(&path)?))?;
     let stats = session
         .evaluate_layouts_streamed(&layout_list, source)
         .map_err(ExperimentError::Trace)?;
@@ -73,7 +70,6 @@ pub(crate) fn run(ctx: &mut Ctx) -> Result<(), ExperimentError> {
     if let Some(kb) = peak_rss_kb() {
         ctx.metric("peak_rss_kb", kb as f64);
     }
-    ctx.metric("ingest_mapped", if mapped { 1.0 } else { 0.0 });
 
     outln!(
         ctx,
@@ -81,7 +77,7 @@ pub(crate) fn run(ctx: &mut Ctx) -> Result<(), ExperimentError> {
     );
     outln!(
         ctx,
-        "profiled through TraceSource streaming; evaluated from a TMP2 container\n(zero-copy when it fits the map budget, streamed otherwise)"
+        "profiled through TraceSource streaming; evaluated from a TMP2 container\n(one frame in memory at a time)"
     );
     outln!(ctx);
     outln!(ctx, "{:<8} {:>14} {:>10}", "layout", "misses", "miss rate");
@@ -97,7 +93,7 @@ pub(crate) fn run(ctx: &mut Ctx) -> Result<(), ExperimentError> {
     outln!(ctx);
     outln!(
         ctx,
-        "peak RSS, records/sec, and the ingestion path are recorded in\nBENCH_run.json, not here: the report must stay byte-identical across\nmachines, --jobs values, and TEMPO_STREAM_INGEST settings."
+        "peak RSS and records/sec are recorded in BENCH_run.json, not here:\nthe report must stay byte-identical across machines and --jobs values."
     );
     let _ = std::fs::remove_file(&path);
     Ok(())

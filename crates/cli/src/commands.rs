@@ -9,8 +9,7 @@ use tempo::place::{TrgChains, WcgOffsets};
 use tempo::prelude::*;
 use tempo::trace::analysis::{reuse_distances, working_set_sizes};
 use tempo::trace::io::{ReadMode, TraceIoError, V1Source, V1Writer};
-use tempo::trace::v2::{V2Writer, DEFAULT_FRAME_RECORDS, MAGIC_V2};
-use tempo::trace::{open_v2_auto, open_v2_auto_lossy, ZeroCopySource};
+use tempo::trace::v2::{V2Source, V2Writer, DEFAULT_FRAME_RECORDS, MAGIC_V2};
 use tempo::trg::io::{read_profile, write_profile};
 use tempo::workloads::suite;
 
@@ -59,7 +58,7 @@ enum FileSource<'p> {
         index: u64,
     },
     V2 {
-        source: ZeroCopySource<'p>,
+        source: V2Source<'p, BufReader<File>>,
         validate: Option<&'p Program>,
         index: u64,
     },
@@ -113,10 +112,6 @@ impl TraceSource for FileSource<'_> {
 /// from the magic bytes (`TMPO` = v1, `TMP2` = v2). Lossy sources repair
 /// against `program` when one is given, structurally otherwise; no
 /// program-fit validation is attached (see [`open_file_source`]).
-///
-/// V2 containers go through [`open_v2_auto`], so small files are decoded
-/// zero-copy from one whole-file buffer and large ones stream frame by
-/// frame in constant memory (`TEMPO_STREAM_INGEST` forces either path).
 fn open_raw_source<'p>(
     path: &str,
     program: Option<&'p Program>,
@@ -138,12 +133,12 @@ fn open_raw_source<'p>(
             index: 0,
         },
         (true, ReadMode::Strict) => FileSource::V2 {
-            source: open_v2_auto(Path::new(path), None)?,
+            source: V2Source::new(r)?,
             validate: None,
             index: 0,
         },
         (true, ReadMode::Lossy) => FileSource::V2 {
-            source: open_v2_auto_lossy(Path::new(path), program, None)?,
+            source: V2Source::new_lossy(r, program)?,
             validate: None,
             index: 0,
         },
@@ -662,12 +657,18 @@ pub fn engine(args: &ArgMap) -> Result<(), CliError> {
     config.evaluate = evaluate || epochs_out.is_some();
 
     // Frame-aligned epoch plan for v2 containers (the same alignment the
-    // sharded profiler uses); v1 traces chunk by plain record count.
+    // sharded profiler uses); v1 traces chunk by plain record count. A
+    // lossy run plans over the well-formed frame prefix and leaves the
+    // defect to its lossy reader; records past the plan fold into the
+    // trailing epoch.
     let plan = {
         let mut r = open(&trace_path)?;
         let head = r.fill_buf()?;
         if head.len() >= 4 && head[0..4] == MAGIC_V2 {
-            let frames = tempo::trace::v2::scan_frames(r).map_err(trace_cli_error)?;
+            let frames = match mode {
+                ReadMode::Strict => tempo::trace::v2::scan_frames(r).map_err(trace_cli_error)?,
+                ReadMode::Lossy => tempo::trace::v2::scan_frame_prefix(r),
+            };
             Some(tempo::plan_epochs(&frames, epoch_records))
         } else {
             None

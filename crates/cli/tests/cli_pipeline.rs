@@ -386,6 +386,73 @@ fn lossy_streaming_recovers_corrupt_v2_frames() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A truncated final frame costs `engine --lossy` that frame, not the
+/// run: the epoch plan covers the well-formed frame prefix, so the layout
+/// equals a strict run over the prefix alone. Strict mode still rejects
+/// the truncated file.
+#[test]
+fn lossy_engine_plans_around_a_truncated_final_frame() {
+    let dir = workdir("lossyengine");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    run(&cmd(&[
+        "generate",
+        "--bench",
+        "perl",
+        "--records",
+        "20000",
+        "--program",
+        &p("prog"),
+        "--trace",
+        &p("train.v1"),
+    ]))
+    .expect("generate");
+    run(&cmd(&[
+        "convert",
+        "--in",
+        &p("train.v1"),
+        "--out",
+        &p("train.v2"),
+        "--to",
+        "v2",
+        "--frame-records",
+        "2000",
+    ]))
+    .expect("convert");
+
+    let bytes = std::fs::read(p("train.v2")).unwrap();
+    std::fs::write(p("cut.v2"), &bytes[..bytes.len() - 5]).unwrap();
+    let frames = tempo::trace::v2::scan_frames(bytes.as_slice()).unwrap();
+    let last = frames.last().unwrap().offset as usize;
+    std::fs::write(p("prefix.v2"), &bytes[..last]).unwrap();
+
+    let engine = |trace: &str, out: &str, lossy: bool| {
+        let mut args = cmd(&[
+            "engine",
+            "--program",
+            &p("prog"),
+            "--trace",
+            &p(trace),
+            "--epoch-records",
+            "5000",
+            "--out",
+            &p(out),
+        ]);
+        if lossy {
+            args.push("--lossy".to_string());
+        }
+        run(&args)
+    };
+    assert!(engine("cut.v2", "strict.layout", false).is_err());
+    engine("cut.v2", "lossy.layout", true).expect("lossy engine survives a truncated tail");
+    engine("prefix.v2", "prefix.layout", false).expect("strict engine over the prefix");
+    assert_eq!(
+        std::fs::read(p("lossy.layout")).unwrap(),
+        std::fs::read(p("prefix.layout")).unwrap(),
+        "lossy run differs from a strict run over the well-formed prefix"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn usage_errors_are_reported() {
     assert!(run(&[]).is_err());

@@ -16,9 +16,6 @@
 //!   a human-readable text format; strict and lossy streaming readers.
 //! * [`v2`] — the v2 chunked binary container: CRC-framed blocks of varint
 //!   records, streamable and lossy-recoverable frame by frame.
-//! * [`mmap`] — whole-buffer zero-copy ingestion of v2 containers with a
-//!   size-budgeted automatic fallback to the streaming reader
-//!   ([`mmap::open_v2_auto`]).
 //! * [`testkit`] — TMP2 fixture builders shared by integration tests and
 //!   the bench harness (in-memory containers at a chosen frame
 //!   granularity, constant-memory file fixtures from any source).
@@ -53,7 +50,6 @@
 
 pub mod analysis;
 pub mod io;
-pub mod mmap;
 pub mod obs;
 pub mod source;
 pub mod stats;
@@ -61,6 +57,5 @@ pub mod testkit;
 mod trace;
 pub mod v2;
 
-pub use mmap::{open_v2_auto, open_v2_auto_lossy, MmapSource, ZeroCopySource};
 pub use source::{pump, MemorySource, PumpSummary, RecordBlock, Tee, TraceSink, TraceSource};
 pub use trace::{Trace, TraceBuilder, TraceRecord, TraceStats};

@@ -49,9 +49,9 @@
 
 use std::io::{Read, Write};
 
-use tempo_program::Program;
+use tempo_program::{ProcId, Program};
 
-use crate::io::{repair_record, ReadMode, TraceIoError, TraceWarnings};
+use crate::io::{read_fully, repair_record, ReadMode, TraceIoError, TraceWarnings};
 use crate::source::{RecordBlock, TraceSink, TraceSource};
 use crate::{Trace, TraceRecord};
 
@@ -167,51 +167,6 @@ fn read_varint_long(buf: &[u8], pos: &mut usize) -> Option<u32> {
         }
         shift += 7;
     }
-}
-
-/// Why a CRC-valid frame payload failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrameDecodeDefect {
-    /// A record varint was truncated, over-long, or overflowed 32 bits
-    /// (also the symptom of a declared record count exceeding the payload).
-    Varint,
-    /// Payload bytes remained after the declared record count was decoded.
-    TrailingBytes,
-}
-
-/// Decodes a frame payload of `record_count` varint pairs into parallel
-/// `procs`/`bytes` columns (cleared first) — the shared SoA decoder behind
-/// both the streaming [`V2Source`] and the zero-copy
-/// [`MmapSource`](crate::mmap::MmapSource), so the two paths cannot drift.
-pub(crate) fn decode_frame_soa(
-    payload: &[u8],
-    record_count: usize,
-    procs: &mut Vec<u32>,
-    bytes: &mut Vec<u32>,
-) -> Result<(), FrameDecodeDefect> {
-    procs.clear();
-    bytes.clear();
-    // The preallocation must not trust the header: cap the reservation by
-    // what the payload can physically hold (two bytes per record minimum),
-    // so a hostile count can never turn into a huge allocation.
-    let cap = record_count.min(payload.len() / 2);
-    procs.reserve(cap);
-    bytes.reserve(cap);
-    let mut pos = 0usize;
-    for _ in 0..record_count {
-        let (Some(proc), Some(extent)) = (
-            read_varint(payload, &mut pos),
-            read_varint(payload, &mut pos),
-        ) else {
-            return Err(FrameDecodeDefect::Varint);
-        };
-        procs.push(proc);
-        bytes.push(extent);
-    }
-    if pos != payload.len() {
-        return Err(FrameDecodeDefect::TrailingBytes);
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -340,32 +295,166 @@ pub fn write_binary_v2<W: Write>(w: W, trace: &Trace) -> Result<(), TraceIoError
 }
 
 // ---------------------------------------------------------------------
+// Validation (shared by the reader, the frame decoder and the scan)
+// ---------------------------------------------------------------------
+
+/// Checks a container's file header: magic, then version. A header cut
+/// short before either field is decided is an `UnexpectedEof` I/O error,
+/// as `read_exact` would raise.
+fn check_file_header(header: &[u8]) -> Result<(), TraceIoError> {
+    let eof = || TraceIoError::from(std::io::Error::from(std::io::ErrorKind::UnexpectedEof));
+    if header.get(0..4).ok_or_else(eof)? != MAGIC_V2 {
+        return Err(TraceIoError::BadMagic);
+    }
+    let version = header.get(4..8).ok_or_else(eof)?;
+    let version = u32::from_le_bytes(version.try_into().expect("slice is 4 bytes"));
+    if version != VERSION_V2 {
+        return Err(TraceIoError::UnsupportedVersion(version));
+    }
+    Ok(())
+}
+
+/// Reads the 8-byte file header off the front of `r` and checks it.
+fn read_file_header<R: Read>(r: &mut R) -> Result<(), TraceIoError> {
+    let mut header = [0u8; 8];
+    let filled = read_fully(r, &mut header)?;
+    check_file_header(&header[..filled])
+}
+
+/// A frame's 12-byte header. Every field is untrusted input.
+#[derive(Debug, Clone, Copy)]
+struct FrameHeader {
+    payload_len: u32,
+    record_count: u32,
+    crc: u32,
+}
+
+impl FrameHeader {
+    /// Parses a frame header, rejecting a declared payload over
+    /// [`MAX_FRAME_PAYLOAD`]: such a length is corruption rather than an
+    /// allocation request, and past it no reader can find the next frame.
+    fn parse(h: &[u8; FRAME_HEADER_LEN]) -> Result<Self, FrameDefect> {
+        let word = |i: usize| u32::from_le_bytes([h[i], h[i + 1], h[i + 2], h[i + 3]]);
+        let header = FrameHeader {
+            payload_len: word(0),
+            record_count: word(4),
+            crc: word(8),
+        };
+        if header.payload_len > MAX_FRAME_PAYLOAD {
+            return Err(FrameDefect::Oversized);
+        }
+        Ok(header)
+    }
+
+    /// Whether the payload can hold the declared record count. Every
+    /// record takes at least two payload bytes, so a larger count is
+    /// corruption, not an allocation request.
+    fn count_fits(&self) -> bool {
+        u64::from(self.record_count) * 2 <= u64::from(self.payload_len)
+    }
+}
+
+/// Why a frame payload failed [`decode_payload`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PayloadDefect {
+    /// The payload does not match the header's CRC-32.
+    Checksum,
+    /// A record varint was truncated, over-long, or overflowed 32 bits
+    /// (also the symptom of a declared record count exceeding the payload).
+    Varint,
+    /// A record count the payload cannot hold, or bytes left over after
+    /// the last record.
+    Malformed,
+}
+
+impl From<PayloadDefect> for FrameDefect {
+    fn from(defect: PayloadDefect) -> Self {
+        match defect {
+            PayloadDefect::Checksum => FrameDefect::Checksum,
+            PayloadDefect::Varint | PayloadDefect::Malformed => FrameDefect::Malformed,
+        }
+    }
+}
+
+/// Validates a frame payload against its header and decodes it into the
+/// parallel `procs`/`bytes` columns: CRC, record-count plausibility,
+/// varint integrity, no bytes past the last record. This is the one frame
+/// check behind both [`V2Source`] and [`decode_frame`], so the offline
+/// reader and the daemon cannot disagree on a frame. The caller has read
+/// exactly `header.payload_len` bytes. On failure the columns are empty,
+/// so a rejected frame never leaks a partial decode.
+fn decode_payload(
+    header: FrameHeader,
+    payload: &[u8],
+    procs: &mut Vec<u32>,
+    bytes: &mut Vec<u32>,
+) -> Result<(), PayloadDefect> {
+    procs.clear();
+    bytes.clear();
+    if crc32(payload) != header.crc {
+        return Err(PayloadDefect::Checksum);
+    }
+    if !header.count_fits() {
+        return Err(PayloadDefect::Malformed);
+    }
+    let count = header.record_count as usize;
+    procs.reserve(count);
+    bytes.reserve(count);
+    let mut pos = 0usize;
+    for _ in 0..count {
+        let (Some(proc), Some(extent)) = (
+            read_varint(payload, &mut pos),
+            read_varint(payload, &mut pos),
+        ) else {
+            procs.clear();
+            bytes.clear();
+            return Err(PayloadDefect::Varint);
+        };
+        procs.push(proc);
+        bytes.push(extent);
+    }
+    if pos != payload.len() {
+        procs.clear();
+        bytes.clear();
+        return Err(PayloadDefect::Malformed);
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------
 
 /// Streaming v2 reader, strict or lossy.
 ///
 /// Holds one frame in memory at a time, so memory use is bounded by
-/// [`MAX_FRAME_PAYLOAD`] regardless of trace length. Strict readers fail
-/// on the first defective frame; lossy readers skip defective frames
-/// (tallying [`TraceWarnings::bad_frames`]) and apply the shared per-record
-/// repairs (zero extents dropped, unknown procedures dropped and oversized
-/// extents clamped when a [`Program`] is supplied).
+/// [`MAX_FRAME_PAYLOAD`] regardless of trace length. Each frame's payload
+/// is read into one buffer reused across frames and decoded straight into
+/// structure-of-arrays columns, which
+/// [`try_next_block`](TraceSource::try_next_block) copies out with two
+/// `memcpy`s per frame. Strict readers fail on the first defective frame;
+/// lossy readers skip defective frames (tallying
+/// [`TraceWarnings::bad_frames`]) and apply the shared per-record repairs
+/// in place (zero extents dropped, unknown procedures dropped and
+/// oversized extents clamped when a [`Program`] is supplied). After an
+/// error the reader is fused: every later call yields nothing.
 #[derive(Debug)]
 pub struct V2Source<'p, R> {
     reader: R,
     mode: ReadMode,
     program: Option<&'p Program>,
-    /// Decoded records of the current frame, drained front to back.
-    frame: Vec<TraceRecord>,
-    /// SoA decode scratch, reused across frames (see [`decode_frame_soa`]).
-    soa_procs: Vec<u32>,
-    soa_bytes: Vec<u32>,
-    /// Next index to yield from `frame`.
+    /// The current frame's payload bytes, reused across frames.
+    payload: Vec<u8>,
+    /// Decoded (and, in lossy mode, repaired) records of the current
+    /// frame, drained front to back.
+    procs: Vec<u32>,
+    bytes: Vec<u32>,
+    /// Next index to yield from the columns.
     cursor: usize,
     /// 0-based index of the next frame to read.
     frame_index: u64,
-    /// Global index of the next record (strict error reporting).
+    /// Global index of the current frame's first record (strict error
+    /// reporting).
     record_index: u64,
     warnings: TraceWarnings,
     done: bool,
@@ -378,30 +467,14 @@ impl<R: Read> V2Source<'static, R> {
     ///
     /// Fails on I/O errors, bad magic, or an unsupported version.
     pub fn new(mut r: R) -> Result<Self, TraceIoError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if magic != MAGIC_V2 {
-            return Err(TraceIoError::BadMagic);
-        }
-        let mut word = [0u8; 4];
-        r.read_exact(&mut word)?;
-        let version = u32::from_le_bytes(word);
-        if version != VERSION_V2 {
-            return Err(TraceIoError::UnsupportedVersion(version));
-        }
-        Ok(V2Source {
-            reader: r,
-            mode: ReadMode::Strict,
-            program: None,
-            frame: Vec::new(),
-            soa_procs: Vec::new(),
-            soa_bytes: Vec::new(),
-            cursor: 0,
-            frame_index: 0,
-            record_index: 0,
-            warnings: TraceWarnings::default(),
-            done: false,
-        })
+        read_file_header(&mut r)?;
+        Ok(V2Source::with_mode(
+            r,
+            ReadMode::Strict,
+            None,
+            TraceWarnings::default(),
+            false,
+        ))
     }
 }
 
@@ -414,150 +487,162 @@ impl<'p, R: Read> V2Source<'p, R> {
     ///
     /// Fails only on genuine I/O errors from the reader.
     pub fn new_lossy(mut r: R, program: Option<&'p Program>) -> Result<Self, TraceIoError> {
-        let mut warnings = TraceWarnings::default();
         let mut header = [0u8; 8];
-        let filled = crate::io::read_fully(&mut r, &mut header)?;
-        let mut done = false;
-        if filled < header.len() {
-            if filled > 0 {
-                warnings.header_mangled += 1;
-            }
-            done = true;
-        } else {
-            if header[0..4] != MAGIC_V2 {
-                warnings.header_mangled += 1;
-            }
-            let version = u32::from_le_bytes(header[4..8].try_into().expect("slice is 4 bytes"));
-            if version != VERSION_V2 && header[0..4] == MAGIC_V2 {
-                warnings.header_mangled += 1;
-            }
+        let filled = read_fully(&mut r, &mut header)?;
+        let mut warnings = TraceWarnings::default();
+        if filled > 0 && check_file_header(&header[..filled]).is_err() {
+            warnings.header_mangled += 1;
         }
-        Ok(V2Source {
-            reader: r,
-            mode: ReadMode::Lossy,
+        let done = filled < header.len();
+        Ok(V2Source::with_mode(
+            r,
+            ReadMode::Lossy,
             program,
-            frame: Vec::new(),
-            soa_procs: Vec::new(),
-            soa_bytes: Vec::new(),
+            warnings,
+            done,
+        ))
+    }
+
+    fn with_mode(
+        reader: R,
+        mode: ReadMode,
+        program: Option<&'p Program>,
+        warnings: TraceWarnings,
+        done: bool,
+    ) -> Self {
+        V2Source {
+            reader,
+            mode,
+            program,
+            payload: Vec::new(),
+            procs: Vec::new(),
+            bytes: Vec::new(),
             cursor: 0,
             frame_index: 0,
             record_index: 0,
             warnings,
             done,
-        })
+        }
     }
 
-    /// Reads and decodes the next frame into `self.frame`. Returns `false`
-    /// at clean end of input. Lossy mode skips corrupt frames (leaving
-    /// `self.frame` empty) and reports them via warnings; the caller loops.
-    fn load_frame(&mut self) -> Result<bool, TraceIoError> {
-        self.frame.clear();
+    /// Reads the next frame into the columns. At clean end of input, or
+    /// after a lossy skip, the columns stay empty and the caller loops
+    /// until records arrive or `done` is set. Any error fuses the reader:
+    /// the columns are cleared, so no record decoded ahead of the defect
+    /// is served after it.
+    fn load_frame(&mut self) -> Result<(), TraceIoError> {
+        let loaded = self.read_frame();
+        if loaded.is_err() {
+            self.procs.clear();
+            self.bytes.clear();
+            self.cursor = 0;
+            self.done = true;
+        }
+        loaded
+    }
+
+    fn read_frame(&mut self) -> Result<(), TraceIoError> {
+        self.procs.clear();
+        self.bytes.clear();
         self.cursor = 0;
         let index = self.frame_index;
 
         let mut header = [0u8; FRAME_HEADER_LEN];
-        let filled = crate::io::read_fully(&mut self.reader, &mut header)?;
+        let filled = read_fully(&mut self.reader, &mut header)?;
         if filled == 0 {
             self.done = true;
-            return Ok(false);
+            return Ok(());
         }
+        // A short header, an oversized length prefix or a short payload
+        // leaves nothing to resync on, so even lossy readers stop there.
         if filled < header.len() {
             return self.frame_defect(index, /* skippable */ false);
         }
-        let payload_len = u32::from_le_bytes(header[0..4].try_into().expect("slice is 4 bytes"));
-        let record_count = u32::from_le_bytes(header[4..8].try_into().expect("slice is 4 bytes"));
-        let crc = u32::from_le_bytes(header[8..12].try_into().expect("slice is 4 bytes"));
-        if payload_len > MAX_FRAME_PAYLOAD {
-            // The length prefix itself is untrustworthy: resync is
-            // impossible, so even lossy readers stop here.
+        let Ok(header) = FrameHeader::parse(&header) else {
             return self.frame_defect(index, false);
-        }
-        let mut payload = vec![0u8; payload_len as usize];
-        let filled = crate::io::read_fully(&mut self.reader, &mut payload)?;
-        if filled < payload.len() {
+        };
+        self.payload.resize(header.payload_len as usize, 0);
+        if read_fully(&mut self.reader, &mut self.payload)? < self.payload.len() {
             return self.frame_defect(index, false);
         }
         self.frame_index += 1;
-        if crc32(&payload) != crc {
-            return self.frame_defect(index, true);
-        }
-        // The declared record count is untrusted too: every record takes at
-        // least two payload bytes, so a count the payload cannot hold is
-        // corruption, not an allocation request.
-        if u64::from(record_count) * 2 > payload_len as u64 {
-            return self.frame_defect(index, true);
-        }
-
-        // Decode the whole frame up front so a malformed record invalidates
-        // the frame atomically (the CRC passed, so this only fires on
-        // writer bugs or collisions).
-        if let Err(defect) = decode_frame_soa(
-            &payload,
-            record_count as usize,
-            &mut self.soa_procs,
-            &mut self.soa_bytes,
-        ) {
-            if self.mode == ReadMode::Lossy && defect == FrameDecodeDefect::Varint {
+        if let Err(defect) = decode_payload(header, &self.payload, &mut self.procs, &mut self.bytes)
+        {
+            if self.mode == ReadMode::Lossy && defect == PayloadDefect::Varint {
                 self.warnings.varint_defects += 1;
             }
             return self.frame_defect(index, true);
         }
-        for i in 0..self.soa_procs.len() {
-            let (proc, bytes) = (self.soa_procs[i], self.soa_bytes[i]);
-            match self.mode {
-                ReadMode::Strict => {
-                    if bytes == 0 {
-                        self.done = true;
-                        return Err(TraceIoError::ZeroExtent {
-                            index: self.record_index + self.frame.len() as u64,
-                        });
-                    }
-                    self.frame
-                        .push(TraceRecord::new(tempo_program::ProcId::new(proc), bytes));
+        match self.mode {
+            ReadMode::Strict => {
+                if let Some(i) = self.bytes.iter().position(|&b| b == 0) {
+                    return Err(TraceIoError::ZeroExtent {
+                        index: self.record_index + i as u64,
+                    });
                 }
-                ReadMode::Lossy => {
-                    if let Some(r) = repair_record(proc, bytes, self.program, &mut self.warnings) {
-                        self.frame.push(r);
-                    } else {
-                        // Dropped records still advance the strict record
-                        // index space; they are counted per-defect instead.
-                    }
-                }
+                self.record_index += self.procs.len() as u64;
+            }
+            ReadMode::Lossy => self.repair_in_place(),
+        }
+        Ok(())
+    }
+
+    /// Applies the shared per-record repairs, compacting dropped records
+    /// out of the columns.
+    fn repair_in_place(&mut self) {
+        let mut keep = 0usize;
+        for i in 0..self.procs.len() {
+            if let Some(r) = repair_record(
+                self.procs[i],
+                self.bytes[i],
+                self.program,
+                &mut self.warnings,
+            ) {
+                self.procs[keep] = r.proc.index();
+                self.bytes[keep] = r.bytes;
+                keep += 1;
             }
         }
-        Ok(true)
+        self.procs.truncate(keep);
+        self.bytes.truncate(keep);
     }
 
     /// Handles a defective frame: strict fails, lossy tallies. `skippable`
     /// frames were fully consumed (bad CRC / bad decode) so the stream can
     /// continue; unskippable ones (truncation, absurd length) end it.
-    fn frame_defect(&mut self, index: u64, skippable: bool) -> Result<bool, TraceIoError> {
+    fn frame_defect(&mut self, index: u64, skippable: bool) -> Result<(), TraceIoError> {
         if self.mode == ReadMode::Strict {
-            self.done = true;
             return Err(TraceIoError::CorruptFrame { frame: index });
         }
         self.warnings.bad_frames += 1;
-        if !skippable {
-            self.done = true;
+        self.done |= !skippable;
+        Ok(())
+    }
+
+    /// Loads frames until the columns hold an unread record; `false` once
+    /// the stream is exhausted.
+    fn fill(&mut self) -> Result<bool, TraceIoError> {
+        while self.cursor == self.procs.len() {
+            if self.done {
+                return Ok(false);
+            }
+            self.load_frame()?;
         }
-        Ok(!self.done)
+        Ok(true)
     }
 }
 
 impl<R: Read> TraceSource for V2Source<'_, R> {
     fn try_next(&mut self) -> Result<Option<TraceRecord>, TraceIoError> {
-        loop {
-            if let Some(r) = self.frame.get(self.cursor) {
-                self.cursor += 1;
-                self.record_index += 1;
-                return Ok(Some(*r));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            // Loop: a lossy skip yields an empty frame buffer.
-            self.load_frame()?;
+        if !self.fill()? {
+            return Ok(None);
         }
+        let i = self.cursor;
+        self.cursor += 1;
+        Ok(Some(TraceRecord::new(
+            ProcId::new(self.procs[i]),
+            self.bytes[i],
+        )))
     }
 
     fn warnings(&self) -> TraceWarnings {
@@ -570,25 +655,16 @@ impl<R: Read> TraceSource for V2Source<'_, R> {
         max: usize,
     ) -> Result<usize, TraceIoError> {
         block.clear();
-        if max == 0 {
+        if max == 0 || !self.fill()? {
             return Ok(0);
         }
-        loop {
-            while block.len() < max {
-                let Some(r) = self.frame.get(self.cursor) else {
-                    break;
-                };
-                self.cursor += 1;
-                self.record_index += 1;
-                block.push(r.proc.index(), r.bytes);
-            }
-            // Frame-granular: a drained frame ends the block even short of
-            // `max`, so blocks line up with decode units.
-            if !block.is_empty() || self.done {
-                return Ok(block.len());
-            }
-            self.load_frame()?;
-        }
+        // Frame-granular: a drained frame ends the block even short of
+        // `max`, so blocks line up with decode units.
+        let end = self.procs.len().min(self.cursor + max);
+        block.procs.extend_from_slice(&self.procs[self.cursor..end]);
+        block.bytes.extend_from_slice(&self.bytes[self.cursor..end]);
+        self.cursor = end;
+        Ok(block.len())
     }
 }
 
@@ -605,6 +681,23 @@ pub fn read_binary_v2<R: Read>(r: R) -> Result<Trace, TraceIoError> {
         trace.push(rec);
     }
     Ok(trace)
+}
+
+/// Reads a whole v2 trace, recovering from corruption instead of failing.
+///
+/// # Errors
+///
+/// Fails only on genuine I/O errors from the reader.
+pub fn read_binary_v2_lossy<R: Read>(
+    r: R,
+    program: Option<&Program>,
+) -> Result<(Trace, TraceWarnings), TraceIoError> {
+    let mut source = V2Source::new_lossy(r, program)?;
+    let mut trace = Trace::new();
+    while let Some(rec) = source.try_next()? {
+        trace.push(rec);
+    }
+    Ok((trace, source.warnings()))
 }
 
 // ---------------------------------------------------------------------
@@ -645,9 +738,9 @@ impl std::fmt::Display for FrameDefect {
 impl std::error::Error for FrameDefect {}
 
 /// Decodes one self-contained v2 frame — the 12-byte header plus payload,
-/// exactly as [`V2Writer`] emits it — applying every validation the
-/// streaming readers apply: length bounds, CRC, record-count
-/// plausibility, varint integrity, and the strict zero-extent rule.
+/// exactly as [`V2Writer`] emits it — through the same validation as
+/// [`V2Source`]: length bounds, CRC, record-count plausibility, varint
+/// integrity, and the strict zero-extent rule.
 ///
 /// This is the ingestion primitive for socket peers (the `tempod`
 /// daemon): a client ships whole frames, each frame is accepted or
@@ -660,45 +753,29 @@ impl std::error::Error for FrameDefect {}
 ///
 /// Returns the [`FrameDefect`] describing the first validation failure.
 pub fn decode_frame(frame: &[u8]) -> Result<Vec<TraceRecord>, FrameDefect> {
-    if frame.len() < FRAME_HEADER_LEN {
+    let Some((header, body)) = frame.split_first_chunk::<FRAME_HEADER_LEN>() else {
         return Err(FrameDefect::Truncated);
+    };
+    let header = FrameHeader::parse(header)?;
+    match body.len().cmp(&(header.payload_len as usize)) {
+        std::cmp::Ordering::Less => return Err(FrameDefect::Truncated),
+        std::cmp::Ordering::Greater => return Err(FrameDefect::TrailingBytes),
+        std::cmp::Ordering::Equal => {}
     }
-    let payload_len = u32::from_le_bytes(frame[0..4].try_into().expect("slice is 4 bytes"));
-    let record_count = u32::from_le_bytes(frame[4..8].try_into().expect("slice is 4 bytes"));
-    let crc = u32::from_le_bytes(frame[8..12].try_into().expect("slice is 4 bytes"));
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(FrameDefect::Oversized);
-    }
-    let body = &frame[FRAME_HEADER_LEN..];
-    let declared = payload_len as usize;
-    if body.len() < declared {
-        return Err(FrameDefect::Truncated);
-    }
-    if body.len() > declared {
-        return Err(FrameDefect::TrailingBytes);
-    }
-    if crc32(body) != crc {
-        return Err(FrameDefect::Checksum);
-    }
-    if u64::from(record_count) * 2 > u64::from(payload_len) {
+    let (mut procs, mut bytes) = (Vec::new(), Vec::new());
+    decode_payload(header, body, &mut procs, &mut bytes)?;
+    if bytes.contains(&0) {
         return Err(FrameDefect::Malformed);
     }
-    let mut procs = Vec::new();
-    let mut bytes = Vec::new();
-    decode_frame_soa(body, record_count as usize, &mut procs, &mut bytes)
-        .map_err(|_| FrameDefect::Malformed)?;
-    let mut records = Vec::with_capacity(procs.len());
-    for (&proc, &extent) in procs.iter().zip(&bytes) {
-        if extent == 0 {
-            return Err(FrameDefect::Malformed);
-        }
-        records.push(TraceRecord::new(tempo_program::ProcId::new(proc), extent));
-    }
-    Ok(records)
+    Ok(procs
+        .into_iter()
+        .zip(bytes)
+        .map(|(proc, extent)| TraceRecord::new(ProcId::new(proc), extent))
+        .collect())
 }
 
 // ---------------------------------------------------------------------
-// Frame scan (shard planning)
+// Frame scan (shard and epoch planning)
 // ---------------------------------------------------------------------
 
 /// One frame's position and size as reported by [`scan_frames`].
@@ -718,86 +795,74 @@ pub struct FrameEntry {
 /// Reads each 12-byte frame header and discards the payload, yielding one
 /// [`FrameEntry`] per frame. Sharded profiling uses this to split a trace
 /// into record ranges aligned to frame boundaries. The scan is strict about
-/// structure (magic, version, payload bounds, truncation) but does **not**
-/// verify CRCs or decode varints — a later reading pass still validates
-/// frame contents.
+/// structure (magic, version, payload bounds, record-count plausibility,
+/// truncation) but does **not** verify CRCs or decode varints — a later
+/// reading pass still validates frame contents.
 ///
 /// # Errors
 ///
 /// Fails on I/O errors, bad magic, an unsupported version, a declared
 /// payload over [`MAX_FRAME_PAYLOAD`], or a truncated frame.
-pub fn scan_frames<R: Read>(mut r: R) -> Result<Vec<FrameEntry>, TraceIoError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC_V2 {
-        return Err(TraceIoError::BadMagic);
-    }
-    let mut word = [0u8; 4];
-    r.read_exact(&mut word)?;
-    let version = u32::from_le_bytes(word);
-    if version != VERSION_V2 {
-        return Err(TraceIoError::UnsupportedVersion(version));
-    }
-
+pub fn scan_frames<R: Read>(r: R) -> Result<Vec<FrameEntry>, TraceIoError> {
     let mut frames = Vec::new();
+    scan_into(r, &mut frames)?;
+    Ok(frames)
+}
+
+/// The well-formed frame prefix of a v2 stream: what [`scan_frames`]
+/// returns, up to but excluding the first structural defect, which ends
+/// the scan silently. Lossy consumers plan over this prefix and leave the
+/// defect to their lossy reader to tally.
+pub fn scan_frame_prefix<R: Read>(r: R) -> Vec<FrameEntry> {
+    let mut frames = Vec::new();
+    // The defect itself is the lossy reader's to report.
+    let _ = scan_into(r, &mut frames);
+    frames
+}
+
+/// Appends one [`FrameEntry`] per well-formed frame to `frames`, stopping
+/// at clean end of input or the first defect.
+fn scan_into<R: Read>(mut r: R, frames: &mut Vec<FrameEntry>) -> Result<(), TraceIoError> {
+    read_file_header(&mut r)?;
     let mut offset = 8u64;
     let mut scratch = vec![0u8; 64 * 1024];
     loop {
-        let frame_index = frames.len() as u64;
+        let frame = frames.len() as u64;
         let mut header = [0u8; FRAME_HEADER_LEN];
-        let filled = crate::io::read_fully(&mut r, &mut header)?;
+        let filled = read_fully(&mut r, &mut header)?;
         if filled == 0 {
-            return Ok(frames); // clean end of input at a frame boundary
+            return Ok(()); // clean end of input at a frame boundary
         }
         if filled < header.len() {
-            return Err(TraceIoError::CorruptFrame { frame: frame_index });
+            return Err(TraceIoError::CorruptFrame { frame });
         }
-        let payload_len = u32::from_le_bytes(header[0..4].try_into().expect("slice is 4 bytes"));
-        let records = u32::from_le_bytes(header[4..8].try_into().expect("slice is 4 bytes"));
-        if payload_len > MAX_FRAME_PAYLOAD || u64::from(records) * 2 > u64::from(payload_len) {
-            return Err(TraceIoError::CorruptFrame { frame: frame_index });
-        }
+        let header = match FrameHeader::parse(&header) {
+            Ok(h) if h.count_fits() => h,
+            _ => return Err(TraceIoError::CorruptFrame { frame }),
+        };
         // Skip the payload without holding it: plain `Read` has no seek,
         // so drain through a bounded scratch buffer.
-        let mut remaining = payload_len as usize;
+        let mut remaining = header.payload_len as usize;
         while remaining > 0 {
             let want = remaining.min(scratch.len());
-            let got = crate::io::read_fully(&mut r, &mut scratch[..want])?;
+            let got = read_fully(&mut r, &mut scratch[..want])?;
             if got == 0 {
-                return Err(TraceIoError::CorruptFrame { frame: frame_index });
+                return Err(TraceIoError::CorruptFrame { frame });
             }
             remaining -= got;
         }
         frames.push(FrameEntry {
             offset,
-            payload_len,
-            records,
+            payload_len: header.payload_len,
+            records: header.record_count,
         });
-        offset += FRAME_HEADER_LEN as u64 + u64::from(payload_len);
+        offset += FRAME_HEADER_LEN as u64 + u64::from(header.payload_len);
     }
-}
-
-/// Reads a whole v2 trace, recovering from corruption instead of failing.
-///
-/// # Errors
-///
-/// Fails only on genuine I/O errors from the reader.
-pub fn read_binary_v2_lossy<R: Read>(
-    r: R,
-    program: Option<&Program>,
-) -> Result<(Trace, TraceWarnings), TraceIoError> {
-    let mut source = V2Source::new_lossy(r, program)?;
-    let mut trace = Trace::new();
-    while let Some(rec) = source.try_next()? {
-        trace.push(rec);
-    }
-    Ok((trace, source.warnings()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempo_program::ProcId;
 
     fn sample_trace() -> Trace {
         Trace::from_records(vec![
@@ -1028,6 +1093,91 @@ mod tests {
         let (back, w) = read_binary_v2_lossy(buf.as_slice(), None).unwrap();
         assert!(back.is_empty());
         assert_eq!(w.zero_extent, 1);
+    }
+
+    /// Wraps a raw payload as a one-frame container declaring
+    /// `record_count` records, with a valid CRC.
+    fn one_frame(payload: &[u8], record_count: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC_V2);
+        buf.extend_from_slice(&VERSION_V2.to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&record_count.to_le_bytes());
+        buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    #[test]
+    fn v2_strict_reader_is_fused_after_an_error() {
+        // Records 0-2 decode before the zero extent at index 3; none of
+        // them, nor record 4, may be served after the error.
+        let mut payload = Vec::new();
+        for (proc, extent) in [(1, 8), (2, 8), (3, 8), (4, 0), (5, 8)] {
+            push_varint(&mut payload, proc);
+            push_varint(&mut payload, extent);
+        }
+        let buf = one_frame(&payload, 5);
+
+        let mut src = V2Source::new(buf.as_slice()).unwrap();
+        assert!(matches!(
+            src.try_next().unwrap_err(),
+            TraceIoError::ZeroExtent { index: 3 }
+        ));
+        for _ in 0..3 {
+            assert_eq!(src.try_next().unwrap(), None);
+        }
+
+        let mut src = V2Source::new(buf.as_slice()).unwrap();
+        let mut block = RecordBlock::default();
+        assert!(matches!(
+            src.try_next_block(&mut block, 4096).unwrap_err(),
+            TraceIoError::ZeroExtent { index: 3 }
+        ));
+        for _ in 0..3 {
+            assert_eq!(src.try_next_block(&mut block, 4096).unwrap(), 0);
+            assert!(block.is_empty());
+        }
+    }
+
+    #[test]
+    fn v2_block_path_matches_scalar_path() {
+        let t = Trace::from_records(
+            (0..5_000u32)
+                .map(|i| TraceRecord::new(ProcId::new(i % 97), (i % 1000) + 1))
+                .collect(),
+        );
+        let mut buf = Vec::new();
+        let mut w = V2Writer::with_frame_records(&mut buf, 300).unwrap();
+        for r in t.iter() {
+            w.push(r).unwrap();
+        }
+        w.finish().unwrap();
+        let mut src = V2Source::new(buf.as_slice()).unwrap();
+        let mut block = RecordBlock::default();
+        let mut rebuilt = Vec::new();
+        while src.try_next_block(&mut block, 128).unwrap() > 0 {
+            assert!(block.len() <= 128);
+            for i in 0..block.len() {
+                rebuilt.push(TraceRecord::new(
+                    ProcId::new(block.procs[i]),
+                    block.bytes[i],
+                ));
+            }
+        }
+        assert_eq!(rebuilt, t.records());
+    }
+
+    #[test]
+    fn v2_lossy_tallies_varint_defects() {
+        // CRC-valid frame whose payload is a single over-long varint.
+        let buf = one_frame(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 1);
+        let (back, w) = read_binary_v2_lossy(buf.as_slice(), None).unwrap();
+        assert!(back.is_empty());
+        assert_eq!(w.bad_frames, 1);
+        assert_eq!(w.varint_defects, 1);
+        // varint_defects is a sub-tally: total() counts the frame once.
+        assert_eq!(w.total(), 1);
     }
 
     #[test]

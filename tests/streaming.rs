@@ -92,79 +92,45 @@ fn streaming_matches_materialized_across_all_sources() {
     assert_eq!(swept, materialized, "shared-stream sweep drifted");
 }
 
-/// Pins the zero-copy ingestion path on a Table-1 workload: the
-/// whole-buffer `MmapSource` and the streaming `V2Source` must yield
-/// identical records, identical profiles, and identical miss counts, and
-/// `open_v2_auto` must land on both paths depending on its budget.
+/// Pins TMP2 file ingestion on a Table-1 workload: profiling and the
+/// shared-stream layout sweep, both read through `V2Source` from a file on
+/// disk, must reproduce the materialized profile and miss counts exactly.
 #[test]
-fn mmap_ingestion_matches_streaming_on_table1_workload() {
-    use tempo::trace::{open_v2_auto, MmapSource, TraceSource};
-
+fn v2_file_ingestion_matches_materialized_on_table1_workload() {
     let model = suite::m88ksim();
     let program = model.program();
     let cache = CacheConfig::direct_mapped_8k();
     let records = 30_000;
 
-    // Round-trip the training trace through a TMP2 file on disk.
-    let dir = std::env::temp_dir().join("tempo_streaming_tests");
+    let dir = std::env::temp_dir().join(format!("tempo_streaming_tests_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("table1.v2");
     let train = model.training_trace(records);
-    let mut buf = Vec::new();
-    write_binary_v2(&mut buf, &train).unwrap();
-    std::fs::write(&path, &buf).unwrap();
+    tempo::trace::testkit::write_v2_file(&path, &mut MemorySource::new(&train)).unwrap();
+    let open = || V2Source::new(std::io::BufReader::new(std::fs::File::open(&path)?));
 
-    // Record-for-record equality of the two readers.
-    let mut mapped = MmapSource::open(&path).unwrap();
-    let mut streamed = V2Source::new(buf.as_slice()).unwrap();
-    loop {
-        let (a, b) = (mapped.try_next().unwrap(), streamed.try_next().unwrap());
-        assert_eq!(a, b, "readers disagree");
-        if a.is_none() {
-            break;
-        }
-    }
-
-    // Identical profiles...
-    let (via_mmap, warnings) = Session::new(program, cache)
-        .profile_with(|| MmapSource::open(&path))
-        .unwrap();
+    let reference = Session::new(program, cache).profile(&train);
+    let (from_file, warnings) = Session::new(program, cache).profile_with(open).unwrap();
     assert!(warnings.is_clean());
-    let (via_stream, _) = Session::new(program, cache)
-        .profile_with(|| V2Source::new(buf.as_slice()))
-        .unwrap();
     assert!(
-        via_mmap.profile() == via_stream.profile(),
-        "mmap-ingested profile differs from the streamed one"
+        reference.profile() == from_file.profile(),
+        "file-ingested profile differs from the materialized one"
     );
 
-    // ...and identical miss counts through the shared-stream sweep.
     let layouts = vec![
         Layout::source_order(program),
-        via_mmap.place(&PettisHansen::new()),
-        via_mmap.place(&Gbsc::new()),
+        reference.place(&PettisHansen::new()),
+        reference.place(&Gbsc::new()),
     ];
-    let from_mmap = via_mmap
-        .evaluate_layouts_streamed(&layouts, MmapSource::open(&path).unwrap())
+    let materialized: Vec<SimStats> = layouts
+        .iter()
+        .map(|l| reference.evaluate(l, &train))
+        .collect();
+    let swept = reference
+        .evaluate_layouts_streamed(&layouts, open().unwrap())
         .unwrap();
-    let from_stream = via_mmap
-        .evaluate_layouts_streamed(&layouts, V2Source::new(buf.as_slice()).unwrap())
-        .unwrap();
-    assert_eq!(from_mmap, from_stream, "miss counts drifted between paths");
-
-    // The auto-opener picks each path by budget and both agree.
-    let auto_mapped = open_v2_auto(&path, Some(u64::MAX)).unwrap();
-    assert!(auto_mapped.is_mapped());
-    let auto_streamed = open_v2_auto(&path, Some(0)).unwrap();
-    assert!(!auto_streamed.is_mapped());
-    let a = via_mmap
-        .evaluate_layouts_streamed(&layouts, auto_mapped)
-        .unwrap();
-    let b = via_mmap
-        .evaluate_layouts_streamed(&layouts, auto_streamed)
-        .unwrap();
-    assert_eq!(a, from_mmap);
-    assert_eq!(b, from_mmap);
+    assert_eq!(swept, materialized, "miss counts drifted on file ingestion");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A fixed 9-procedure program for the v2 container properties.
@@ -309,11 +275,15 @@ proptest! {
         prop_assert_eq!(back.records(), expected.as_slice());
     }
 
-    /// The whole-buffer `MmapSource` agrees with the streaming `V2Source`
-    /// record-for-record and warning-for-warning on arbitrary containers,
-    /// including ones with a corrupted or truncated frame.
+    /// The lossy `V2Source` and the daemon's standalone `decode_frame`
+    /// agree on every container, including ones with a corrupted or
+    /// truncated frame: the reader yields exactly the concatenation of the
+    /// frames `decode_frame` accepts, its `bad_frames` tally equals
+    /// `decode_frame`'s rejections, and each accepted frame holds exactly
+    /// the records the writer cut into it. Daemon ≡ offline engine rests
+    /// on this agreement.
     #[test]
-    fn mmap_agrees_with_streaming_under_corruption(
+    fn lossy_reader_agrees_with_decode_frame_under_corruption(
         refs in arb_refs(),
         frame_records in 1usize..50,
         mangle in any::<bool>(),
@@ -321,33 +291,41 @@ proptest! {
         byte_pick in 0usize..1_000_000,
         truncate_tail in any::<bool>(),
     ) {
-        use tempo::trace::{MmapSource, TraceSource};
+        use tempo::trace::v2::decode_frame;
 
         let program = test_program();
         let trace = to_trace(&program, &refs);
         let mut bytes = v2_bytes(&trace, frame_records);
+        // The writer's frame boundaries, taken before any damage.
+        let frames = v2_frames(&bytes);
+        prop_assert_eq!(frames.len(), trace.len().div_ceil(frame_records));
         if mangle {
-            let frames = v2_frames(&bytes);
-            if !frames.is_empty() {
-                let (start, payload_len) = frames[frame_pick % frames.len()];
-                if payload_len > 0 {
-                    bytes[start + 12 + byte_pick % payload_len] ^= 0xA5;
-                }
+            let (start, payload_len) = frames[frame_pick % frames.len()];
+            if payload_len > 0 {
+                bytes[start + 12 + byte_pick % payload_len] ^= 0xA5;
             }
         }
         if truncate_tail && bytes.len() > 9 {
             bytes.truncate(bytes.len() - 1);
         }
 
-        let mut mapped = MmapSource::from_bytes_lossy(bytes.clone(), Some(&program));
-        let mut streamed = V2Source::new_lossy(bytes.as_slice(), Some(&program)).unwrap();
-        loop {
-            let (a, b) = (mapped.try_next().unwrap(), streamed.try_next().unwrap());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
+        let mut accepted = Vec::new();
+        let mut rejected = 0u64;
+        for (k, &(start, payload_len)) in frames.iter().enumerate() {
+            let end = (start + 12 + payload_len).min(bytes.len());
+            match decode_frame(&bytes[start..end]) {
+                Ok(records) => {
+                    let lo = k * frame_records;
+                    let hi = (lo + frame_records).min(trace.len());
+                    prop_assert_eq!(records.as_slice(), &trace.records()[lo..hi]);
+                    accepted.extend(records);
+                }
+                Err(_) => rejected += 1,
             }
         }
-        prop_assert_eq!(mapped.warnings(), streamed.warnings());
+        let (back, warnings) =
+            read_binary_v2_lossy(bytes.as_slice(), Some(&program)).unwrap();
+        prop_assert_eq!(back.records(), accepted.as_slice());
+        prop_assert_eq!(warnings.bad_frames, rejected);
     }
 }
