@@ -10,8 +10,10 @@ use tempo::prelude::*;
 use tempo::trace::analysis::{reuse_distances, working_set_sizes};
 use tempo::trace::io::{ReadMode, TraceIoError, V1Source, V1Writer};
 use tempo::trace::v2::{V2Source, V2Writer, DEFAULT_FRAME_RECORDS, MAGIC_V2};
+use tempo::trace::RecordBlock;
 use tempo::trg::io::{read_profile, write_profile};
 use tempo::workloads::suite;
+use tempo_daemon::DaemonConfig;
 
 use crate::args::ArgMap;
 use crate::CliError;
@@ -51,60 +53,58 @@ fn trace_read_mode(args: &ArgMap) -> Result<ReadMode, CliError> {
 /// Strict mode optionally carries the program so records are validated as
 /// they stream past (the streaming analogue of [`Trace::validate`]); lossy
 /// sources repair against the program at the format layer instead.
-enum FileSource<'p> {
-    V1 {
-        source: V1Source<'p, BufReader<File>>,
-        validate: Option<&'p Program>,
-        index: u64,
-    },
-    V2 {
-        source: V2Source<'p, BufReader<File>>,
-        validate: Option<&'p Program>,
-        index: u64,
-    },
+struct FileSource<'p> {
+    reader: Box<dyn TraceSource + 'p>,
+    /// Whether the reader is a v2 one, whose blocks are whole frames.
+    framed: bool,
+    validate: Option<&'p Program>,
+    /// Global index of the next record.
+    index: u64,
+}
+
+/// The strict program-fit failure of the record at global `index`.
+fn misfit(index: u64) -> TraceIoError {
+    TraceIoError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("trace record {index} does not fit the program"),
+    ))
 }
 
 impl TraceSource for FileSource<'_> {
     fn try_next(&mut self) -> Result<Option<TraceRecord>, TraceIoError> {
-        let (next, validate, index) = match self {
-            FileSource::V1 {
-                source,
-                validate,
-                index,
-            } => (source.try_next()?, *validate, index),
-            FileSource::V2 {
-                source,
-                validate,
-                index,
-            } => (source.try_next()?, *validate, index),
-        };
-        if let (Some(r), Some(program)) = (&next, validate) {
-            let fits = r.proc.as_usize() < program.len()
-                && r.bytes >= 1
-                && r.bytes <= program.size_of(r.proc);
-            if !fits {
-                return Err(TraceIoError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("trace record {index} does not fit the program"),
-                )));
+        let next = self.reader.try_next()?;
+        if let (Some(r), Some(program)) = (&next, self.validate) {
+            if !r.fits(program) {
+                return Err(misfit(self.index));
             }
         }
-        *index += 1;
+        self.index += 1;
         Ok(next)
     }
 
-    fn warnings(&self) -> TraceWarnings {
-        match self {
-            FileSource::V1 { source, .. } => source.warnings(),
-            FileSource::V2 { source, .. } => source.warnings(),
+    fn try_next_block(
+        &mut self,
+        block: &mut RecordBlock,
+        max: usize,
+    ) -> Result<usize, TraceIoError> {
+        let n = self.reader.try_next_block(block, max)?;
+        if let Some(program) = self.validate {
+            let mut records = (block.procs.iter().zip(&block.bytes))
+                .map(|(&proc, &bytes)| TraceRecord::new(ProcId::new(proc), bytes));
+            if let Some(i) = records.position(|r| !r.fits(program)) {
+                return Err(misfit(self.index + i as u64));
+            }
         }
+        self.index += n as u64;
+        Ok(n)
+    }
+
+    fn warnings(&self) -> TraceWarnings {
+        self.reader.warnings()
     }
 
     fn expected_records(&self) -> Option<u64> {
-        match self {
-            FileSource::V1 { source, .. } => source.expected_records(),
-            FileSource::V2 { source, .. } => source.expected_records(),
-        }
+        self.reader.expected_records()
     }
 }
 
@@ -120,28 +120,18 @@ fn open_raw_source<'p>(
     let mut r = BufReader::new(File::open(Path::new(path))?);
     // Peek without consuming; the constructors re-read the magic.
     let head = r.fill_buf()?;
-    let is_v2 = head.len() >= 4 && head[0..4] == MAGIC_V2;
-    Ok(match (is_v2, mode) {
-        (false, ReadMode::Strict) => FileSource::V1 {
-            source: V1Source::new(r)?,
-            validate: None,
-            index: 0,
-        },
-        (false, ReadMode::Lossy) => FileSource::V1 {
-            source: V1Source::new_lossy(r, program)?,
-            validate: None,
-            index: 0,
-        },
-        (true, ReadMode::Strict) => FileSource::V2 {
-            source: V2Source::new(r)?,
-            validate: None,
-            index: 0,
-        },
-        (true, ReadMode::Lossy) => FileSource::V2 {
-            source: V2Source::new_lossy(r, program)?,
-            validate: None,
-            index: 0,
-        },
+    let framed = head.len() >= 4 && head[0..4] == MAGIC_V2;
+    let reader: Box<dyn TraceSource + 'p> = match (framed, mode) {
+        (false, ReadMode::Strict) => Box::new(V1Source::new(r)?),
+        (false, ReadMode::Lossy) => Box::new(V1Source::new_lossy(r, program)?),
+        (true, ReadMode::Strict) => Box::new(V2Source::new(r)?),
+        (true, ReadMode::Lossy) => Box::new(V2Source::new_lossy(r, program)?),
+    };
+    Ok(FileSource {
+        reader,
+        framed,
+        validate: None,
+        index: 0,
     })
 }
 
@@ -155,10 +145,7 @@ fn open_file_source<'p>(
 ) -> Result<FileSource<'p>, TraceIoError> {
     let mut source = open_raw_source(path, Some(program), mode)?;
     if matches!(mode, ReadMode::Strict) {
-        let v = match &mut source {
-            FileSource::V1 { validate, .. } | FileSource::V2 { validate, .. } => validate,
-        };
-        *v = Some(program);
+        source.validate = Some(program);
     }
     Ok(source)
 }
@@ -618,6 +605,32 @@ pub fn place(args: &ArgMap) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Reads the engine settings `engine` and `daemon` share over
+/// [`DaemonConfig`]'s defaults, so an offline run and a tempod tenant
+/// given the same flags run the same engine, and resolves the algorithm
+/// (eagerly, so a daemon fails at startup, not at a tenant's first open).
+fn engine_settings(args: &ArgMap) -> Result<(DaemonConfig, Box<dyn PlacementAlgorithm>), CliError> {
+    let mut config = DaemonConfig::new(args.cache()?);
+    if let Some(name) = args.get("algorithm") {
+        config.algorithm = name.to_string();
+    }
+    let algorithm = algorithm_by_name(&config.algorithm)?;
+    config.coverage = args.get_or("coverage", config.coverage)?;
+    config.epoch_records = args.get_or("epoch-records", config.epoch_records)?;
+    config.decay = args.get_or("decay", config.decay)?;
+    config.replace_threshold = args.get_or("replace-threshold", config.replace_threshold)?;
+    if !(config.decay.is_finite() && config.decay > 0.0 && config.decay <= 1.0) {
+        return Err(CliError::Usage(format!(
+            "--decay must be within (0, 1], got {}",
+            config.decay
+        )));
+    }
+    if config.epoch_records == 0 {
+        return Err(CliError::Usage("--epoch-records must be positive".into()));
+    }
+    Ok((config, algorithm))
+}
+
 /// `engine`: drive the incremental epoch engine over a trace — decaying
 /// profile window, drift-triggered re-placement — writing the final
 /// adopted layout (and optionally a per-epoch CSV).
@@ -628,59 +641,25 @@ pub fn place(args: &ArgMap) -> Result<(), CliError> {
 pub fn engine(args: &ArgMap) -> Result<(), CliError> {
     let program = load_program(args)?;
     let mode = trace_read_mode(args)?;
-    let cache = args.cache()?;
-    let algorithm = algorithm_by_name(args.get("algorithm").unwrap_or("gbsc"))?;
-    let coverage: f64 = args.get_or("coverage", 0.995)?;
-    let epoch_records: u64 = args.get_or("epoch-records", 100_000)?;
-    let decay: f64 = args.get_or("decay", 1.0)?;
-    let replace_threshold: f64 = args.get_or("replace-threshold", 0.02)?;
+    let (settings, algorithm) = engine_settings(args)?;
     let evaluate = args.switch("evaluate");
     let trace_path = args.require("trace")?.to_string();
     let out = args.require("out")?.to_string();
     let epochs_out = args.get("epochs-out").map(str::to_string);
     args.finish()?;
 
-    if !(decay.is_finite() && decay > 0.0 && decay <= 1.0) {
-        return Err(CliError::Usage(format!(
-            "--decay must be within (0, 1], got {decay}"
-        )));
-    }
-    if epoch_records == 0 {
-        return Err(CliError::Usage("--epoch-records must be positive".into()));
-    }
-
-    let mut config = tempo::EngineConfig::new(cache);
-    config.selector = PopularitySelector::coverage(coverage).with_min_count(2);
-    config.epoch_records = epoch_records;
-    config.decay = decay;
-    config.replace_threshold = replace_threshold;
+    let mut config = settings.engine_config();
     config.evaluate = evaluate || epochs_out.is_some();
-
-    // Frame-aligned epoch plan for v2 containers (the same alignment the
-    // sharded profiler uses); v1 traces chunk by plain record count. A
-    // lossy run plans over the well-formed frame prefix and leaves the
-    // defect to its lossy reader; records past the plan fold into the
-    // trailing epoch.
-    let plan = {
-        let mut r = open(&trace_path)?;
-        let head = r.fill_buf()?;
-        if head.len() >= 4 && head[0..4] == MAGIC_V2 {
-            let frames = match mode {
-                ReadMode::Strict => tempo::trace::v2::scan_frames(r).map_err(trace_cli_error)?,
-                ReadMode::Lossy => tempo::trace::v2::scan_frame_prefix(r),
-            };
-            Some(tempo::plan_epochs(&frames, epoch_records))
-        } else {
-            None
-        }
-    };
 
     let span = tempo_obs::span("stage.engine");
     let mut engine = tempo::Engine::new(&program, &*algorithm, config);
     let source = open_file_source(&trace_path, &program, mode).map_err(trace_cli_error)?;
-    let reports = match &plan {
-        Some(plan) => engine.run_planned(source, plan),
-        None => engine.run_source(source),
+    // Epochs end on the frames a v2 reader delivers (a lossy reader's
+    // repairs included); a v1 trace has none, so each record is its own.
+    let reports = if source.framed {
+        engine.run_frames(source)
+    } else {
+        engine.run_source(source)
     }
     .map_err(trace_cli_error)?;
     span.finish();
@@ -737,7 +716,7 @@ pub fn engine(args: &ArgMap) -> Result<(), CliError> {
             ("epochs", reports.len().into()),
             ("replacements", replacements.into()),
             ("drift_skips", skips.into()),
-            ("decay", decay.into()),
+            ("decay", config.decay.into()),
         ],
     );
     println!(
@@ -1102,20 +1081,11 @@ pub fn bench(args: &ArgMap) -> Result<(), CliError> {
 /// `daemon`: run tempod, the multi-tenant placement server, until a
 /// client sends `shutdown`.
 pub fn daemon(args: &ArgMap) -> Result<(), CliError> {
-    use tempo_daemon::{DaemonConfig, Server};
+    use tempo_daemon::Server;
 
     let socket = args.get("socket").map(str::to_string);
     let tcp = args.get("tcp").map(str::to_string);
-    let mut config = DaemonConfig::new(args.cache()?);
-    if let Some(name) = args.get("algorithm") {
-        // Resolve eagerly so a typo fails at startup, not at first open.
-        algorithm_by_name(name)?;
-        config.algorithm = name.to_string();
-    }
-    config.coverage = args.get_or("coverage", config.coverage)?;
-    config.epoch_records = args.get_or("epoch-records", config.epoch_records)?;
-    config.decay = args.get_or("decay", config.decay)?;
-    config.replace_threshold = args.get_or("replace-threshold", config.replace_threshold)?;
+    let (mut config, _) = engine_settings(args)?;
     config.queue_capacity = args.get_or("queue", config.queue_capacity)?;
     if let Some(units) = args.get_parsed::<u64>("budget-work")? {
         config.budget.max_work_units = Some(units);
@@ -1124,15 +1094,6 @@ pub fn daemon(args: &ArgMap) -> Result<(), CliError> {
         config.budget.deadline = Some(std::time::Duration::from_millis(ms));
     }
     args.finish()?;
-    if !(config.decay.is_finite() && config.decay > 0.0 && config.decay <= 1.0) {
-        return Err(CliError::Usage(format!(
-            "--decay must be within (0, 1], got {}",
-            config.decay
-        )));
-    }
-    if config.epoch_records == 0 {
-        return Err(CliError::Usage("--epoch-records must be positive".into()));
-    }
     match (socket, tcp) {
         (Some(path), None) => {
             let server = Server::bind_unix(&path, config)?;

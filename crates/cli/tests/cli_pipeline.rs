@@ -453,6 +453,56 @@ fn lossy_engine_plans_around_a_truncated_final_frame() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A strict streamed simulation reads v2 frames a block at a time, and a
+/// record outside the program still fails the run naming its global
+/// index, not its position within the frame.
+#[test]
+fn strict_v2_stream_names_the_misfit_record_index() {
+    use tempo::prelude::*;
+    let dir = workdir("misfit");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let program = Program::builder()
+        .procedure("a", 4096)
+        .procedure("b", 4096)
+        .build()
+        .unwrap();
+    tempo::program::io::write_program(std::fs::File::create(p("prog")).unwrap(), &program).unwrap();
+    tempo::program::io::write_layout(
+        std::fs::File::create(p("layout")).unwrap(),
+        &Layout::source_order(&program),
+    )
+    .unwrap();
+    let file = std::fs::File::create(p("bad.v2")).unwrap();
+    let mut writer = tempo::trace::v2::V2Writer::with_frame_records(file, 1000).unwrap();
+    for i in 0..2500u32 {
+        // Record 2345 sits in the third frame and names a procedure the
+        // program does not have.
+        let proc = if i == 2345 { 7 } else { i % 2 };
+        writer
+            .push(&TraceRecord::new(ProcId::new(proc), 64))
+            .unwrap();
+    }
+    writer.finish().unwrap();
+
+    let err = run(&cmd(&[
+        "simulate",
+        "--program",
+        &p("prog"),
+        "--layout",
+        &p("layout"),
+        "--trace",
+        &p("bad.v2"),
+        "--stream",
+    ]))
+    .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("trace record 2345 does not fit the program"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn usage_errors_are_reported() {
     assert!(run(&[]).is_err());

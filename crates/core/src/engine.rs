@@ -8,9 +8,9 @@
 //! possible — and the load-bearing refactor the `tempod` daemon (ROADMAP
 //! item 1) sits on:
 //!
-//! 1. The trace is consumed in **epochs** (fixed record counts, or
-//!    frame-aligned ranges planned by [`plan_epochs`] in the style of
-//!    [`plan_shards`](crate::plan_shards)).
+//! 1. The trace is consumed in **epochs**, cut from its frames by the
+//!    one [`EpochFolder`] rule ([`plan_epochs`] replays it on a TMP2
+//!    frame list; unframed sources are one-record frames).
 //! 2. Each epoch is profiled with the PR 7 merge monoid and folded into a
 //!    **decaying window**: `window.decay(λ); window.merge(&epoch)`. With
 //!    `λ = 1.0` the window is a plain running sum — bit-identical to the
@@ -43,10 +43,10 @@
 use tempo_analyze::miss_bounds;
 use tempo_cache::{simulate, CacheConfig, SimStats};
 use tempo_place::{PlacementAlgorithm, PlacementContext};
-use tempo_program::{Layout, Program};
+use tempo_program::{Layout, ProcId, Program};
 use tempo_trace::io::TraceIoError;
 use tempo_trace::v2::FrameEntry;
-use tempo_trace::{Trace, TraceRecord, TraceSource};
+use tempo_trace::{RecordBlock, Trace, TraceRecord, TraceSource};
 use tempo_trg::{PopularSet, PopularitySelector, ProfileData, Profiler};
 
 /// Configuration of an incremental [`Engine`].
@@ -57,8 +57,8 @@ pub struct EngineConfig {
     /// Popularity policy used on the first epoch (membership is pinned
     /// from it for the window's lifetime).
     pub selector: PopularitySelector,
-    /// Records per epoch when chunking an unplanned source
-    /// (see [`Engine::run_source`]).
+    /// Records per epoch: an epoch ends at the first frame boundary where
+    /// it holds at least this many (see [`EpochFolder`]).
     pub epoch_records: u64,
     /// Exponential decay applied to the window before each merge, in
     /// `(0, 1]`. `1.0` disables aging: the window is then the exact
@@ -80,11 +80,10 @@ pub struct EngineConfig {
     /// epoch's placement decision), reported in
     /// [`EpochReport::stats`].
     pub evaluate: bool,
-    /// Ceiling on the records buffered for any single epoch by the
-    /// chunked runners, itself capped at [`MAX_EPOCH_RECORDS`]. Epoch or
-    /// plan lengths beyond it are split at the ceiling — untrusted plans
-    /// cannot force the whole stream into memory. Daemons serving many
-    /// tenants may lower it; raising it past the hard cap has no effect.
+    /// Ceiling on the records buffered for any single epoch, itself capped
+    /// at [`MAX_EPOCH_RECORDS`]: an epoch that reaches it ends mid-frame —
+    /// untrusted plans cannot force the whole stream into memory. Raising
+    /// it past the hard cap has no effect.
     pub max_epoch_records: u64,
 }
 
@@ -143,6 +142,7 @@ pub struct EpochReport {
 /// [`with_layout`](Engine::with_layout), then feed epochs via
 /// [`observe_epoch`](Engine::observe_epoch) or drive a whole source with
 /// [`run_source`](Engine::run_source) /
+/// [`run_frames`](Engine::run_frames) /
 /// [`run_planned`](Engine::run_planned).
 ///
 /// With `decay = 1.0` and a single epoch covering the whole trace, the
@@ -386,9 +386,9 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Consumes a whole source in epochs of
-    /// [`epoch_records`](EngineConfig::epoch_records) records each (the
-    /// final epoch takes whatever remains).
+    /// Consumes a whole source, each record a frame of its own: epochs of
+    /// [`epoch_records`](EngineConfig::epoch_records) records, or of the
+    /// ceiling if lower (the final epoch takes whatever remains).
     ///
     /// # Errors
     ///
@@ -398,78 +398,82 @@ impl<'p> Engine<'p> {
         &mut self,
         source: S,
     ) -> Result<Vec<EpochReport>, TraceIoError> {
-        let per = self.config.epoch_records;
-        self.run_chunked(source, |_| per)
+        self.run_records(source, EpochFolder::new(&self.config), std::iter::repeat(1))
     }
 
-    /// Consumes a source in the epochs of `plan` — record counts produced
-    /// by [`plan_epochs`] so epoch boundaries align with TMP2 frame
-    /// boundaries. Records beyond the plan's total are folded into one
-    /// trailing epoch (subject to the [`MAX_EPOCH_RECORDS`] buffering
-    /// ceiling, which splits a pathological tail rather than holding the
-    /// rest of the stream in memory).
+    /// Consumes a source in the frames it delivers: each
+    /// [`try_next_block`](TraceSource::try_next_block) block is one whole
+    /// frame for the [`EpochFolder`] — for a TMP2 reader, one TMP2 frame.
     ///
     /// # Errors
     ///
-    /// Propagates the first error the source reports.
+    /// As [`run_source`](Engine::run_source).
+    pub fn run_frames<S: TraceSource>(
+        &mut self,
+        mut source: S,
+    ) -> Result<Vec<EpochReport>, TraceIoError> {
+        let mut folder = EpochFolder::new(&self.config);
+        let mut reports = Vec::new();
+        let mut block = RecordBlock::default();
+        // No TMP2 frame holds more, so a reader's block is a whole frame.
+        let max = usize::try_from(MAX_EPOCH_RECORDS).unwrap_or(usize::MAX);
+        while source.try_next_block(&mut block, max)? > 0 {
+            let frame = (block.procs.iter().zip(&block.bytes))
+                .map(|(&proc, &bytes)| TraceRecord::new(ProcId::new(proc), bytes));
+            folder.push(frame, true, |e| reports.push(self.observe_epoch(&e)));
+        }
+        reports.extend(folder.finish().map(|epoch| self.observe_epoch(&epoch)));
+        Ok(reports)
+    }
+
+    /// Consumes a source in the epochs of `plan`: each entry is a frame
+    /// that ends its own epoch, split at the buffering ceiling like any
+    /// other. Records past the plan form one more frame, which only the
+    /// ceiling or the end of the source ends; zero entries end nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_source`](Engine::run_source).
     pub fn run_planned<S: TraceSource>(
         &mut self,
         source: S,
         plan: &[u64],
     ) -> Result<Vec<EpochReport>, TraceIoError> {
-        // Past the plan's end everything folds into one trailing epoch:
-        // ask for an unbounded chunk and let the shared ceiling cap it.
-        self.run_chunked(source, |i| plan.get(i).copied().unwrap_or(u64::MAX))
+        // Target 1: every frame boundary ends the epoch it closes.
+        let folder = EpochFolder::cutting(1, self.config.max_epoch_records);
+        let frames = plan.iter().copied().chain(std::iter::once(u64::MAX));
+        self.run_records(source, folder, frames)
     }
 
-    fn run_chunked<S: TraceSource>(
+    /// Feeds `source` to `folder` a record at a time, cut into frames of
+    /// the lengths `frames` yields.
+    fn run_records<S: TraceSource>(
         &mut self,
         mut source: S,
-        mut epoch_len: impl FnMut(usize) -> u64,
+        mut folder: EpochFolder,
+        frames: impl Iterator<Item = u64>,
     ) -> Result<Vec<EpochReport>, TraceIoError> {
-        // The requested length is untrusted: a hostile plan entry (or a
-        // forged TMP2 frame header feeding `plan_epochs`) must neither
-        // drive a huge preallocation nor buffer the entire stream, so the
-        // reservation is clamped to what a modest epoch needs and the
-        // buffer itself is capped at the configured ceiling — the same
-        // don't-trust-the-declared-count discipline as the v2 readers.
-        let ceiling = self.config.max_epoch_records.clamp(1, MAX_EPOCH_RECORDS);
-        let clamped = move |want: u64| want.max(1).min(ceiling);
-        #[allow(clippy::cast_possible_truncation)] // bounded by the clamp below
-        let prealloc = |want: u64| want.min(EPOCH_PREALLOC_RECORDS) as usize;
-        let mut reports = Vec::new();
-        let mut chunk = 0usize;
-        let mut want = clamped(epoch_len(chunk));
-        let mut buffer: Vec<TraceRecord> = Vec::with_capacity(prealloc(want));
+        let mut frames = frames.filter(|&n| n > 0);
+        let (mut left, mut reports) = (0u64, Vec::new());
         while let Some(record) = source.try_next()? {
-            buffer.push(record);
-            if buffer.len() as u64 >= want {
-                let epoch = Trace::from_records(std::mem::take(&mut buffer));
-                reports.push(self.observe_epoch(&epoch));
-                chunk += 1;
-                want = clamped(epoch_len(chunk));
-                buffer.reserve(prealloc(want));
+            if left == 0 {
+                left = frames.next().unwrap_or(u64::MAX);
             }
+            left -= 1;
+            folder.push([record].into_iter(), left == 0, |e| {
+                reports.push(self.observe_epoch(&e))
+            });
         }
-        if !buffer.is_empty() {
-            let epoch = Trace::from_records(buffer);
-            reports.push(self.observe_epoch(&epoch));
-        }
+        reports.extend(folder.finish().map(|epoch| self.observe_epoch(&epoch)));
         Ok(reports)
     }
 }
 
-/// Hard ceiling on the records buffered for a single epoch by
-/// [`Engine::run_source`] / [`Engine::run_planned`]: 8M records (64 MiB of
-/// [`TraceRecord`]s). A plan entry or `epoch_records` beyond this is split
-/// at the ceiling instead of buffered — an untrusted plan must never be
-/// able to materialize the whole stream.
+/// Hard ceiling on the records buffered for a single epoch: 8M records
+/// (64 MiB of [`TraceRecord`]s), also the most one TMP2 frame can hold.
+/// An epoch that reaches it ends mid-frame instead of growing, so no
+/// untrusted plan or target can materialize the whole stream.
 pub const MAX_EPOCH_RECORDS: u64 = 1 << 23;
-
-/// Largest up-front reservation `run_chunked` makes for an epoch buffer
-/// (64k records = 512 KiB); bigger epochs grow by pushing, so a forged
-/// length costs nothing until real records actually arrive.
-const EPOCH_PREALLOC_RECORDS: u64 = 1 << 16;
 
 impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -482,26 +486,98 @@ impl std::fmt::Debug for Engine<'_> {
     }
 }
 
-/// Splits a scanned TMP2 frame list into epoch record counts of at least
-/// `epoch_records` each, aligned to frame boundaries — the epoch analogue
-/// of [`plan_shards`](crate::plan_shards). The final epoch absorbs any
-/// short tail. An empty trace yields no epochs.
-pub fn plan_epochs(frames: &[FrameEntry], epoch_records: u64) -> Vec<u64> {
-    let target = epoch_records.max(1);
-    let mut plan = Vec::new();
-    let mut run = 0u64;
-    for f in frames {
-        run += u64::from(f.records);
-        if run >= target {
-            plan.push(run);
-            run = 0;
+/// Frames in, epochs out — the one rule that cuts epochs for
+/// `tempo engine`, the `tempod` tenants and [`plan_epochs`], so their
+/// boundaries agree by construction. An epoch ends at the first frame
+/// boundary where it holds at least
+/// [`epoch_records`](EngineConfig::epoch_records) records, or mid-frame
+/// at exactly the [`max_epoch_records`](EngineConfig::max_epoch_records)
+/// ceiling, whichever comes first; [`finish`](EpochFolder::finish)
+/// yields the non-empty tail.
+#[derive(Debug)]
+pub struct EpochFolder {
+    target: u64,
+    ceiling: u64,
+    /// Records in the open epoch: all buffered, except by [`plan_epochs`].
+    held: u64,
+    buffer: Vec<TraceRecord>,
+}
+
+impl EpochFolder {
+    /// An empty folder cutting by `config`'s epoch target and ceiling.
+    pub fn new(config: &EngineConfig) -> Self {
+        Self::cutting(config.epoch_records, config.max_epoch_records)
+    }
+
+    fn cutting(epoch_records: u64, max_epoch_records: u64) -> Self {
+        EpochFolder {
+            target: epoch_records.max(1),
+            ceiling: max_epoch_records.clamp(1, MAX_EPOCH_RECORDS),
+            held: 0,
+            buffer: Vec::new(),
         }
     }
-    if run > 0 {
-        // A short tail stands as its own epoch so the plan's total always
-        // covers the trace.
-        plan.push(run);
+
+    /// Ends the stream: the non-empty tail epoch, if any.
+    pub fn finish(&mut self) -> Option<Trace> {
+        (std::mem::take(&mut self.held) > 0)
+            .then(|| Trace::from_records(std::mem::take(&mut self.buffer)))
     }
+
+    /// Pushes `records` of the current frame — a whole frame when
+    /// `frame_ends`, else a piece that more of the frame follows —
+    /// calling `emit` with each epoch they end.
+    pub fn push(
+        &mut self,
+        mut records: impl ExactSizeIterator<Item = TraceRecord>,
+        frame_ends: bool,
+        mut emit: impl FnMut(Trace),
+    ) {
+        self.cut(records.len() as u64, frame_ends, |buffer, n, ended| {
+            // `n` is at most `records.len()`, a `usize`.
+            let n = usize::try_from(n).unwrap_or(usize::MAX);
+            buffer.extend(records.by_ref().take(n));
+            if ended.is_some() {
+                emit(Trace::from_records(std::mem::take(buffer)));
+            }
+        });
+    }
+
+    /// The rule itself, on counts: cuts `records` more records of the
+    /// current frame into pieces at each epoch end. `piece` gets the
+    /// buffer, each piece's length and, if it ends an epoch, its length.
+    fn cut(
+        &mut self,
+        mut records: u64,
+        frame_ends: bool,
+        mut piece: impl FnMut(&mut Vec<TraceRecord>, u64, Option<u64>),
+    ) {
+        loop {
+            let n = records.min(self.ceiling - self.held);
+            records -= n;
+            self.held += n;
+            // A piece that leaves records over stopped at the ceiling, so
+            // only the frame's last piece can end at the target.
+            let ends = self.held == self.ceiling || (frame_ends && self.held >= self.target);
+            let ended = ends.then(|| std::mem::take(&mut self.held));
+            piece(&mut self.buffer, n, ended);
+            if records == 0 {
+                return;
+            }
+        }
+    }
+}
+
+/// The epoch lengths an [`EpochFolder`] with this `epoch_records` target
+/// and the default [`MAX_EPOCH_RECORDS`] ceiling cuts from a scanned TMP2
+/// frame list, the tail last. An empty trace yields no epochs.
+pub fn plan_epochs(frames: &[FrameEntry], epoch_records: u64) -> Vec<u64> {
+    let mut folder = EpochFolder::cutting(epoch_records, MAX_EPOCH_RECORDS);
+    let mut plan = Vec::new();
+    for f in frames {
+        folder.cut(u64::from(f.records), true, |_, _, ended| plan.extend(ended));
+    }
+    plan.extend((folder.held > 0).then_some(folder.held));
     plan
 }
 
@@ -728,6 +804,26 @@ mod tests {
             reports.iter().map(|r| r.records).collect::<Vec<_>>(),
             vec![25, 25, 25, 25],
             "an absurd plan entry must chunk at max_epoch_records"
+        );
+    }
+
+    #[test]
+    fn ceiling_split_keeps_later_plan_boundaries() {
+        // Regression: after splitting an oversized entry at the ceiling the
+        // runner moved on to the next entry instead of the remainder, so
+        // boundaries 30 and 40 never occurred ([25, 10, 25, 25, 15]).
+        let p = program();
+        let t = alternating_trace(&p, 50); // 100 records
+        let mut cfg = config();
+        cfg.max_epoch_records = 25;
+        let algorithm = Gbsc::new();
+        let mut engine = Engine::new(&p, &algorithm, cfg);
+        let reports = engine
+            .run_planned(MemorySource::new(&t), &[30, 10, 60])
+            .unwrap();
+        assert_eq!(
+            reports.iter().map(|r| r.records).collect::<Vec<_>>(),
+            vec![25, 5, 10, 25, 25, 10]
         );
     }
 

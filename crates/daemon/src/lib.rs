@@ -32,13 +32,11 @@
 //! **Equivalence contract** (CI-gated): a single-tenant session fed a
 //! whole v2 trace frame-by-frame, then asked for its layout, produces
 //! bytes identical to `tempo engine` offline on the same trace with the
-//! same settings. This holds because epoch boundaries are reproduced
-//! exactly: the offline path plans epochs from frame record counts
-//! ([`plan_epochs`](tempo::plan_epochs) folds frames until the target is
-//! met), and the worker flushes an epoch whenever the pending records
-//! reach the same target after a whole frame — the identical boundaries,
-//! computed incrementally. The layout request folds the pending tail
-//! into one final epoch, exactly like end-of-source offline.
+//! same settings. This holds by construction: both sides cut epochs with
+//! the one [`EpochFolder`](tempo::EpochFolder) rule over the same frames —
+//! the worker pushes each accepted frame, `tempo engine` each frame its
+//! reader delivers — and the layout request finishes the folder, whose
+//! tail becomes one final epoch exactly like end-of-source offline.
 
 // In the test build, `unwrap` IS the assertion.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
@@ -76,7 +74,7 @@ pub struct DaemonConfig {
     pub coverage: f64,
     /// Minimum reference count for popularity membership.
     pub min_count: u64,
-    /// Records per epoch (frame-aligned, like the offline plan).
+    /// Records per epoch (frame-aligned, like `tempo engine`'s).
     pub epoch_records: u64,
     /// Window decay in `(0, 1]`; `1.0` keeps everything.
     pub decay: f64,
@@ -108,8 +106,9 @@ impl DaemonConfig {
         }
     }
 
-    /// The engine configuration a tenant worker runs with.
-    pub(crate) fn engine_config(&self) -> EngineConfig {
+    /// The engine configuration a tenant worker runs with (and `tempo
+    /// engine` given the same flags).
+    pub fn engine_config(&self) -> EngineConfig {
         let mut config = EngineConfig::new(self.cache);
         config.selector =
             PopularitySelector::coverage(self.coverage).with_min_count(self.min_count);

@@ -9,8 +9,8 @@ use tempo::place::{BudgetMeter, PlacementAlgorithm};
 use tempo::program::io::write_layout;
 use tempo::program::Program;
 use tempo::trace::v2::decode_frame;
-use tempo::trace::{Trace, TraceRecord};
-use tempo::{Engine, MAX_EPOCH_RECORDS};
+use tempo::trace::TraceRecord;
+use tempo::{Engine, EpochFolder, EpochReport};
 use tempo_obs::Registry;
 
 use crate::DaemonConfig;
@@ -23,7 +23,7 @@ pub(crate) enum Job {
     Frame(Vec<u8>),
     /// Reply with the ingestion tally (a flush barrier).
     Sync(SyncSender<Response>),
-    /// Fold the pending tail into a final epoch, reply with the layout.
+    /// Fold the open epoch into a final one, reply with the layout.
     Layout(SyncSender<Response>),
     /// Reply with the tenant's scoped metrics snapshot as JSON.
     Stats(SyncSender<Response>),
@@ -94,6 +94,12 @@ impl Tally {
             replacements: field("replacements")?,
         })
     }
+
+    /// Counts one observed epoch.
+    fn count_epoch(&mut self, report: &EpochReport) {
+        self.epochs += 1;
+        self.replacements += u64::from(report.replaced);
+    }
 }
 
 /// A running tenant: the handle connections talk through plus the
@@ -135,36 +141,29 @@ fn run_worker(
     registry: Arc<Registry>,
 ) {
     let _scope = tempo_obs::scoped(registry);
-    let mut engine = Engine::new(program, algorithm, config.engine_config());
+    let engine_config = config.engine_config();
+    let mut engine = Engine::new(program, algorithm, engine_config);
+    let mut folder = EpochFolder::new(&engine_config);
     let meter = BudgetMeter::new(config.budget);
-    let mut pending: Vec<TraceRecord> = Vec::new();
     let mut tally = Tally::default();
-    // The same epoch target the offline plan uses, under the same
-    // buffering ceiling — this is what pins daemon epochs to
-    // `plan_epochs` boundaries.
-    let target = config.epoch_records.clamp(1, MAX_EPOCH_RECORDS);
 
     while let Ok(job) = jobs.recv() {
         match job {
             Job::Frame(bytes) => {
-                ingest_frame(
-                    &bytes,
-                    program,
-                    &meter,
-                    &mut engine,
-                    &mut pending,
-                    &mut tally,
-                    target,
-                );
+                if let Some(frame) = admit_frame(&bytes, program, &meter, &mut tally) {
+                    folder.push(frame.into_iter(), true, |epoch| {
+                        tally.count_epoch(&engine.observe_epoch(&epoch))
+                    });
+                }
             }
             Job::Sync(reply) => {
                 let _ = reply.send(Response::Ok(tally.to_json().into_bytes()));
             }
             Job::Layout(reply) => {
-                // End-of-stream semantics: the pending tail becomes one
+                // End-of-stream semantics: the folder's tail becomes one
                 // final epoch, exactly like the offline trailing epoch.
-                if !pending.is_empty() {
-                    observe(&mut engine, &mut pending, &mut tally);
+                if let Some(epoch) = folder.finish() {
+                    tally.count_epoch(&engine.observe_epoch(&epoch));
                 }
                 let _ = reply.send(render_layout(&engine, program));
             }
@@ -177,18 +176,14 @@ fn run_worker(
     }
 }
 
-/// Decodes, validates, admits, and buffers one frame; flushes an epoch
-/// when the pending records reach the target after this whole frame —
-/// the incremental reproduction of [`tempo::plan_epochs`] boundaries.
-fn ingest_frame(
+/// Decodes, validates and admits one frame, returning its records; a
+/// rejected frame is tallied and yields `None`.
+fn admit_frame(
     bytes: &[u8],
     program: &Program,
     meter: &BudgetMeter,
-    engine: &mut Engine<'_>,
-    pending: &mut Vec<TraceRecord>,
     tally: &mut Tally,
-    target: u64,
-) {
+) -> Option<Vec<TraceRecord>> {
     let records = match decode_frame(bytes) {
         Ok(records) => records,
         Err(defect) => {
@@ -199,16 +194,13 @@ fn ingest_frame(
                 "defective frame rejected",
                 &[("defect", defect.to_string().as_str().into())],
             );
-            return;
+            return None;
         }
     };
     // The per-record rule the strict offline reader enforces, applied at
     // frame granularity: one bad record rejects its frame, not the
     // session.
-    let fits = records.iter().all(|r| {
-        r.proc.as_usize() < program.len() && r.bytes >= 1 && r.bytes <= program.size_of(r.proc)
-    });
-    if !fits {
+    if !records.iter().all(|r| r.fits(program)) {
         tally.bad_frames += 1;
         tempo_obs::counter("daemon.tenant.bad_frames").incr();
         tempo_obs::event(
@@ -216,7 +208,7 @@ fn ingest_frame(
             "frame rejected: records do not fit the program",
             &[],
         );
-        return;
+        return None;
     }
     if meter.charge(records.len() as u64).is_err() {
         tally.budget_rejected += 1;
@@ -226,26 +218,13 @@ fn ingest_frame(
             "frame rejected: admission budget exhausted",
             &[("spent", meter.spent().into())],
         );
-        return;
+        return None;
     }
     tally.frames += 1;
     tally.records += records.len() as u64;
     tempo_obs::counter("daemon.tenant.frames").incr();
     tempo_obs::counter("daemon.tenant.records").add(records.len() as u64);
-    pending.extend(records);
-    if pending.len() as u64 >= target {
-        observe(engine, pending, tally);
-    }
-}
-
-/// Flushes the pending records as one epoch.
-fn observe(engine: &mut Engine<'_>, pending: &mut Vec<TraceRecord>, tally: &mut Tally) {
-    let epoch = Trace::from_records(std::mem::take(pending));
-    let report = engine.observe_epoch(&epoch);
-    tally.epochs += 1;
-    if report.replaced {
-        tally.replacements += 1;
-    }
+    Some(records)
 }
 
 /// Serializes the engine's current layout, validating it first.

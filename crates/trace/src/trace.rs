@@ -28,6 +28,13 @@ impl TraceRecord {
     pub fn new(proc: ProcId, bytes: u32) -> Self {
         TraceRecord { proc, bytes }
     }
+
+    /// Whether the record fits `program`: a known procedure, and an
+    /// extent within `1..=` its size.
+    pub fn fits(&self, program: &Program) -> bool {
+        let known = self.proc.as_usize() < program.len();
+        known && self.bytes >= 1 && self.bytes <= program.size_of(self.proc)
+    }
 }
 
 /// An in-memory procedure-grain execution trace.
@@ -131,15 +138,10 @@ impl Trace {
     ///
     /// The error value is the index of the offending record.
     pub fn validate(&self, program: &Program) -> Result<(), usize> {
-        for (i, r) in self.records.iter().enumerate() {
-            if r.proc.as_usize() >= program.len()
-                || r.bytes == 0
-                || r.bytes > program.size_of(r.proc)
-            {
-                return Err(i);
-            }
+        match self.records.iter().position(|r| !r.fits(program)) {
+            Some(i) => Err(i),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

@@ -803,26 +803,8 @@ pub struct FrameEntry {
 ///
 /// Fails on I/O errors, bad magic, an unsupported version, a declared
 /// payload over [`MAX_FRAME_PAYLOAD`], or a truncated frame.
-pub fn scan_frames<R: Read>(r: R) -> Result<Vec<FrameEntry>, TraceIoError> {
+pub fn scan_frames<R: Read>(mut r: R) -> Result<Vec<FrameEntry>, TraceIoError> {
     let mut frames = Vec::new();
-    scan_into(r, &mut frames)?;
-    Ok(frames)
-}
-
-/// The well-formed frame prefix of a v2 stream: what [`scan_frames`]
-/// returns, up to but excluding the first structural defect, which ends
-/// the scan silently. Lossy consumers plan over this prefix and leave the
-/// defect to their lossy reader to tally.
-pub fn scan_frame_prefix<R: Read>(r: R) -> Vec<FrameEntry> {
-    let mut frames = Vec::new();
-    // The defect itself is the lossy reader's to report.
-    let _ = scan_into(r, &mut frames);
-    frames
-}
-
-/// Appends one [`FrameEntry`] per well-formed frame to `frames`, stopping
-/// at clean end of input or the first defect.
-fn scan_into<R: Read>(mut r: R, frames: &mut Vec<FrameEntry>) -> Result<(), TraceIoError> {
     read_file_header(&mut r)?;
     let mut offset = 8u64;
     let mut scratch = vec![0u8; 64 * 1024];
@@ -831,7 +813,7 @@ fn scan_into<R: Read>(mut r: R, frames: &mut Vec<FrameEntry>) -> Result<(), Trac
         let mut header = [0u8; FRAME_HEADER_LEN];
         let filled = read_fully(&mut r, &mut header)?;
         if filled == 0 {
-            return Ok(()); // clean end of input at a frame boundary
+            return Ok(frames); // clean end of input at a frame boundary
         }
         if filled < header.len() {
             return Err(TraceIoError::CorruptFrame { frame });

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use tempo::prelude::*;
 use tempo::trg::io::write_profile;
-use tempo::EngineConfig;
+use tempo::{EngineConfig, EpochFolder};
 
 fn arb_program() -> impl Strategy<Value = Program> {
     prop::collection::vec(16u32..5000, 2..12).prop_map(|sizes| {
@@ -142,6 +142,90 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Cuts `counts`-sized frames of distinct records with an [`EpochFolder`]
+/// at `target` and `ceiling`; returns the input records and the epochs,
+/// the tail (if any) last.
+fn fold_frames(
+    counts: &[u32],
+    target: u64,
+    ceiling: u64,
+) -> (Vec<TraceRecord>, Vec<Vec<TraceRecord>>) {
+    let mut config = EngineConfig::new(CacheConfig::direct_mapped_8k());
+    config.epoch_records = target;
+    config.max_epoch_records = ceiling;
+    let mut folder = EpochFolder::new(&config);
+    let mut input = Vec::new();
+    let mut epochs = Vec::new();
+    for &count in counts {
+        let frame: Vec<TraceRecord> = (0..count)
+            .map(|i| TraceRecord::new(ProcId::new(0), input.len() as u32 + i + 1))
+            .collect();
+        input.extend_from_slice(&frame);
+        folder.push(frame.into_iter(), true, |epoch| {
+            epochs.push(epoch.records().to_vec());
+        });
+    }
+    epochs.extend(folder.finish().map(|tail| tail.records().to_vec()));
+    (input, epochs)
+}
+
+proptest! {
+    /// The one epoch-boundary rule: epochs partition the input, never
+    /// exceed the ceiling, and each ends at the first frame boundary where
+    /// it holds the target or mid-frame at exactly the ceiling, whichever
+    /// comes first. `plan_epochs` replays the same rule on frame counts.
+    #[test]
+    fn epoch_folder_cuts_at_the_first_boundary_or_the_ceiling(
+        counts in prop::collection::vec(0u32..300, 0..40),
+        target in 1u64..1_000,
+        ceiling in 1u64..1_000,
+    ) {
+        let (input, epochs) = fold_frames(&counts, target, ceiling);
+        prop_assert_eq!(epochs.concat(), input.clone(), "epochs must concatenate to the input");
+
+        let mut boundaries = vec![0u64];
+        for &c in &counts {
+            boundaries.push(boundaries.last().unwrap() + u64::from(c));
+        }
+        let mut start = 0u64;
+        for (i, epoch) in epochs.iter().enumerate() {
+            let len = epoch.len() as u64;
+            let end = start + len;
+            prop_assert!(len > 0 && len <= ceiling, "epoch {i} has {len} records, ceiling {ceiling}");
+            for &b in boundaries.iter().filter(|&&b| b > start && b < end) {
+                prop_assert!(
+                    b - start < target,
+                    "epoch {i} passed a frame boundary holding {} >= target {target}",
+                    b - start
+                );
+            }
+            if i + 1 < epochs.len() {
+                prop_assert!(
+                    len == ceiling || (boundaries.contains(&end) && len >= target),
+                    "non-tail epoch {i} ({start}..{end}) ends neither at the ceiling nor at a \
+                     frame boundary holding the target"
+                );
+            }
+            start = end;
+        }
+
+        let frames: Vec<tempo::trace::v2::FrameEntry> = counts
+            .iter()
+            .map(|&records| tempo::trace::v2::FrameEntry {
+                offset: 0,
+                payload_len: 0,
+                records,
+            })
+            .collect();
+        let (_, default_epochs) = fold_frames(&counts, target, tempo::MAX_EPOCH_RECORDS);
+        prop_assert_eq!(
+            tempo::plan_epochs(&frames, target),
+            default_epochs.iter().map(|e| e.len() as u64).collect::<Vec<_>>(),
+            "plan_epochs must replay the folder's cuts"
+        );
     }
 }
 
